@@ -252,3 +252,25 @@ func BenchmarkEndToEndInference(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInfer measures one guarded inference per model through the
+// public Compiled.Infer at the minimum input size: contract binding,
+// execution and the modeled Report — everything a serving request pays,
+// where BenchmarkEndToEndInference times only the bare executor. Run
+// with -benchmem for allocs/op and B/op.
+func BenchmarkInfer(b *testing.B) {
+	for _, m := range Models() {
+		c, err := Compile(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewSample(m, m.MinSize, 0.5, 3)
+		b.Run(m.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Infer(s.Inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 // Command arenaalias runs the repository's static checkers as a
 // `go vet` vettool — a multichecker driving two stdlib-only analyzers:
 //
-//   - arenaalias: arena-backed tensors escaping a function that recycles
-//     their storage without Arena.Detach;
+//   - arenaalias: arena-backed tensors escaping a function that releases
+//     the arena without Arena.Detach (they would pin the whole buffer);
 //   - ctxfield: context.Context parked in long-lived struct fields
 //     outside the sanctioned Options/Config/Session carriers.
 //

@@ -472,10 +472,8 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 		fmt.Printf("wavefront parallel: %d/%d requests ran parallel (%d workers per request)\n",
 			waveRuns, served, parallel)
 	}
-	fmt.Printf("plan cache: %d/%d request hits (%d hits / %d misses cumulative, %d entries)\n",
-		planHits, served, st.Cache.PlanHits, st.Cache.PlanMisses, st.Cache.PlanEntries)
-	fmt.Printf("trace memo: %d hits / %d misses (%d entries)   coalesced in flight: %d\n",
-		st.Cache.TraceHits, st.Cache.TraceMisses, st.Cache.TraceEntries, st.Coalesced)
+	fmt.Printf("plan cache: %d/%d request hits (%d hits / %d misses cumulative, %d entries)   coalesced in flight: %d\n",
+		planHits, served, st.Cache.PlanHits, st.Cache.PlanMisses, st.Cache.PlanEntries, st.Coalesced)
 	fmt.Printf("health: %s   breaker: %d faults / %d successes, %d trips, reverify %d pass / %d fail\n",
 		st.Health, st.Breaker.Faults, st.Breaker.Successes, st.Breaker.Trips,
 		st.Breaker.ReverifyPass, st.Breaker.ReverifyFail)

@@ -62,7 +62,9 @@ func (d Device) TraceCostParallel(tr exec.Trace, opts TraceCostOptions, waveOf f
 		return d.TraceCost(tr, opts)
 	}
 	var sequential float64
-	perWave := map[int][]float64{}
+	// Indexed by wave, so the makespans are summed in wave order and
+	// the same trace always prices to the same bits.
+	var perWave [][]float64
 	seenGroup := map[int]bool{}
 	for _, ev := range tr.Events {
 		if ev.Skipped {
@@ -100,6 +102,9 @@ func (d Device) TraceCostParallel(tr exec.Trace, opts TraceCostOptions, waveOf f
 		}
 		cost += dispatch
 		if w := waveOf(ev.Node); w >= 0 {
+			for len(perWave) <= w {
+				perWave = append(perWave, nil)
+			}
 			perWave[w] = append(perWave[w], cost)
 		} else {
 			sequential += cost

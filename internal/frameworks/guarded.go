@@ -160,9 +160,8 @@ func (c *Compiled) probeEnv(size int64) map[string]int64 {
 // bounded LRU (§4.3–§4.4's static planning done once per shape), with
 // singleflight dedup so concurrent cold misses verify once; repeat
 // shapes skip re-verification entirely (GuardReport.PlanCacheHit).
-// Arena backing buffers come from a size-classed pool and are returned
-// after the run, so concurrent inferences do not each allocate a fresh
-// arena; outputs are detached from the arena before it is recycled.
+// Each planned-tier run allocates its own arena; outputs are detached
+// from it before it is released, so they never pin the whole buffer.
 func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOptions) (*exec.Result, *GuardReport, error) {
 	gr := &GuardReport{Tier: guard.TierPlanned}
 	degrade := func(reason string, kind guard.ViolationKind, to guard.Tier) {
@@ -301,7 +300,7 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 					gr.ParallelWorkers = runtime.GOMAXPROCS(0)
 				}
 			}
-			arena = exec.NewPooledArena(pl.Offsets, pl.ArenaSize)
+			arena = exec.NewArena(pl.Offsets, pl.ArenaSize)
 			arena.Budget = opts.ArenaBudget
 		}
 	}
@@ -337,9 +336,8 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 	if err != nil && gr.Tier == guard.TierPlanned && exec.IsArenaFault(err) && !opts.Strict {
 		// The plan disagreed with runtime reality (injected OOM, stale
 		// offsets). The dynamic allocator is immune: retry without the
-		// arena (the failed run leaked nothing, so its buffer recycles).
+		// arena.
 		degrade(err.Error(), guard.KindMemPlan, guard.TierDynamic)
-		arena.Release()
 		arena, execOpts.Arena = nil, nil
 		// The dynamic retry runs sequentially: without the widened
 		// arena plan there is no concurrency soundness proof.
@@ -348,13 +346,12 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 		res, err = exec.Run(c.Graph, inputs, execOpts)
 	}
 	if err != nil {
-		arena.Release()
 		return nil, gr, err
 	}
 	if arena != nil {
 		gr.ArenaHighWater = arena.HighWater
-		// Clone arena-backed outputs, then hand the buffer back to the
-		// pool for the next concurrent inference.
+		// Clone arena-backed outputs so they do not keep the whole
+		// arena alive, then drop it.
 		arena.Detach(res.Outputs)
 		arena.Release()
 	}

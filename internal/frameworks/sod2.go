@@ -86,7 +86,8 @@ func (s *SoD2) Supports(string, costmodel.Device) bool { return true }
 // experiments.
 func (s *SoD2) Reset() {}
 
-// Run executes one sample under the configured optimization set.
+// Run executes one sample under the configured optimization set and
+// prices its trace (see Price).
 func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
 	kind := OrderBFS
 	if s.Opts.SEP {
@@ -112,8 +113,22 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	if err != nil {
 		return Report{}, err
 	}
-	tr := res.Trace
+	workers := 0
+	if kind == OrderPlanned && fallbackTier == guard.TierPlanned {
+		workers = s.Opts.ParallelWorkers
+	}
+	rep := s.Price(m, m.Graph, res.Trace, dev, workers)
+	rep.FallbackTier, rep.Degradations = fallbackTier, degradations
+	return rep, nil
+}
 
+// Price turns the trace of one execution of g — m's compiled graph, or
+// the original graph a specialization fallback ran — into the modeled
+// latency and memory Report. workers > 1 asserts that the trace
+// followed m's static execution plan and prices it as wavefront-parallel
+// execution over that many workers (per-wave LPT makespan); otherwise
+// the trace is priced sequentially.
+func (s *SoD2) Price(m *Compiled, g *graph.Graph, tr exec.Trace, dev costmodel.Device, workers int) Report {
 	// --- Latency -----------------------------------------------------
 	opts := costmodel.TraceCostOptions{}
 	internal := map[string]bool{}
@@ -169,7 +184,7 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	if !s.Opts.SEP {
 		deferFree = 6
 	}
-	prog := traceProgramDefer(m.Graph, tr, internal, deferFree)
+	prog := traceProgramDefer(g, tr, internal, deferFree)
 	var peak int64
 	switch {
 	case s.Opts.DMP:
@@ -189,14 +204,13 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 
 	var inferUS float64
 	waves, parWorkers := 0, 0
-	if w := s.Opts.ParallelWorkers; w > 1 && s.Opts.SEP &&
-		kind == OrderPlanned && fallbackTier == guard.TierPlanned && m.WavePlan != nil {
-		// Wavefront-parallel configuration: per-wave LPT makespan over w
-		// workers, sequential costs elsewhere (control-flow bodies,
+	if workers > 1 && s.Opts.SEP && m.WavePlan != nil {
+		// Wavefront-parallel configuration: per-wave LPT makespan over
+		// the workers, sequential costs elsewhere (control-flow bodies,
 		// solo waves). Identical per-event costs to TraceCost, so the
 		// two configurations differ only in scheduling.
-		inferUS = dev.TraceCostParallel(tr, opts, m.WavePlan.WaveOf, w) * dev.MemPressure(peak)
-		waves, parWorkers = m.WavePlan.NumWaves(), w
+		inferUS = dev.TraceCostParallel(tr, opts, m.WavePlan.WaveOf, workers) * dev.MemPressure(peak)
+		waves, parWorkers = m.WavePlan.NumWaves(), workers
 	} else {
 		inferUS = dev.TraceCost(tr, opts) * dev.MemPressure(peak)
 	}
@@ -207,7 +221,6 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 		total += v
 	}
 	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases,
-		FallbackTier: fallbackTier, Degradations: degradations,
 		Wavefronts: waves, ParallelWorkers: parWorkers,
-		Specialized: m.SpecCert.TopologyChanged()}, nil
+		Specialized: m.SpecCert.TopologyChanged()}
 }

@@ -1,12 +1,13 @@
 // Package arenaalias is a go/analysis-style checker for the repository's
 // arena-aliasing contract: tensors produced by an arena-backed execution
-// alias the arena's backing buffer, and exec.Arena.Release hands that
-// buffer to a pool for the next concurrent inference. Any function that
-// releases an arena (or creates a pooled one) while letting tensors
-// escape — returning them, storing them into fields, maps, slices, or
-// sending them on channels — must call Arena.Detach in the same function
-// first, or the escaped tensors are silently corrupted by the buffer's
-// next user.
+// alias the arena's backing buffer, a single allocation sized for the
+// model's whole planned footprint. Once exec.Arena.Release ends the
+// arena's lifetime, any such tensor that escapes the function —
+// returned, stored into fields, maps or slices, or sent on a channel —
+// keeps the whole buffer alive for as long as the tensor lives. Any
+// function that releases an arena while letting tensors escape must
+// therefore call Arena.Detach in the same function first, which clones
+// the aliased outputs so they own storage of their own size.
 //
 // The checker is intentionally stdlib-only (go/ast + go/types): the
 // build environment has no golang.org/x/tools, so cmd/arenaalias
@@ -14,8 +15,8 @@
 //
 // A function is flagged when all three hold:
 //
-//  1. it calls (*exec.Arena).Release or exec.NewPooledArena — the points
-//     where the backing buffer is recycled or marked for recycling;
+//  1. it calls (*exec.Arena).Release — the point where the arena's
+//     lifetime ends;
 //  2. a tensor-carrying value escapes the function (returned, stored
 //     through a selector or index expression, or sent on a channel);
 //  3. no (*exec.Arena).Detach call appears anywhere in the function,
@@ -77,8 +78,6 @@ func checkFunc(fset *token.FileSet, fn *ast.FuncDecl, info *types.Info) []Diagno
 				releases = true
 			case isArenaMethod(n, "Detach", info):
 				detaches = true
-			case isPooledCtor(n, info):
-				releases = true
 			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
@@ -114,7 +113,7 @@ func checkFunc(fset *token.FileSet, fn *ast.FuncDecl, info *types.Info) []Diagno
 		diags[i] = Diagnostic{
 			Pos: fset.Position(pos),
 			Message: fmt.Sprintf(
-				"%s %s possibly arena-backed tensors but never calls Arena.Detach before Release recycles their storage",
+				"%s %s possibly arena-backed tensors but never calls Arena.Detach before Release: they pin the whole arena buffer",
 				fn.Name.Name, escapeWhat[i]),
 		}
 	}
@@ -139,16 +138,6 @@ func isArenaMethod(call *ast.CallExpr, name string, info *types.Info) bool {
 		return false
 	}
 	return isNamed(deref(info.TypeOf(sel.X)), execPath, "Arena")
-}
-
-// isPooledCtor matches exec.NewPooledArena(...) by the callee's object.
-func isPooledCtor(call *ast.CallExpr, info *types.Info) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "NewPooledArena" {
-		return false
-	}
-	obj, ok := info.Uses[sel.Sel]
-	return ok && obj.Pkg() != nil && obj.Pkg().Path() == execPath
 }
 
 func isNilExpr(e ast.Expr, info *types.Info) bool {

@@ -26,10 +26,9 @@ type Tensor struct{ F []float32 }
 const execStub = `package exec
 import "repro/internal/tensor"
 type Arena struct{ Offsets map[string]int64 }
-func NewArena(offsets map[string]int64, size int64) *Arena       { return &Arena{} }
-func NewPooledArena(offsets map[string]int64, size int64) *Arena { return &Arena{} }
-func (a *Arena) Release()                                  {}
-func (a *Arena) Detach(outputs map[string]*tensor.Tensor)  {}
+func NewArena(offsets map[string]int64, size int64) *Arena { return &Arena{} }
+func (a *Arena) Release()                                 {}
+func (a *Arena) Detach(outputs map[string]*tensor.Tensor) {}
 type Result struct{ Outputs map[string]*tensor.Tensor }
 `
 
@@ -82,7 +81,7 @@ func TestCheckFlagsLeaksOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := checkSnippet(t, string(src))
-	for _, want := range []string{"leakReturn", "leakStore", "leakPooled"} {
+	for _, want := range []string{"leakReturn", "leakStore"} {
 		if found[want] == 0 {
 			t.Errorf("%s not flagged (findings: %v)", want, found)
 		}
@@ -152,7 +151,7 @@ func TestVetTool(t *testing.T) {
 		t.Fatalf("go vet should fail on the fixture package; output:\n%s", out)
 	}
 	text := string(out)
-	for _, want := range []string{"leakReturn", "leakStore", "leakPooled"} {
+	for _, want := range []string{"leakReturn", "leakStore"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("vettool output missing %s finding:\n%s", want, text)
 		}
@@ -164,7 +163,7 @@ func TestVetTool(t *testing.T) {
 	}
 
 	// The real tree must be clean: GuardedRun detaches before releasing,
-	// and nothing else recycles an arena while tensors escape.
+	// and nothing else releases an arena while tensors escape.
 	clean := osexec.Command(goTool, "vet", "-vettool="+tool, "./...")
 	clean.Dir = root
 	if out, err := clean.CombinedOutput(); err != nil {

@@ -15,7 +15,7 @@ type holder struct {
 }
 
 // leakReturn releases the arena while returning outputs that still alias
-// its backing buffer: flagged.
+// its backing buffer, pinning all of it: flagged.
 func leakReturn(a *exec.Arena, res *exec.Result) map[string]*tensor.Tensor {
 	defer a.Release()
 	return res.Outputs
@@ -25,14 +25,6 @@ func leakReturn(a *exec.Arena, res *exec.Result) map[string]*tensor.Tensor {
 func leakStore(h *holder, a *exec.Arena, res *exec.Result) {
 	h.out = res.Outputs
 	a.Release()
-}
-
-// leakPooled never calls Release itself, but a pooled arena's contract
-// says its caller will — escaping outputs without Detach is the same
-// bug one frame removed: flagged.
-func leakPooled(offsets map[string]int64, res *exec.Result) (*exec.Arena, *exec.Result) {
-	a := exec.NewPooledArena(offsets, 64)
-	return a, res
 }
 
 // okDetach detaches before releasing, so the returned outputs own their
@@ -53,7 +45,8 @@ func okDeferredDetach(a *exec.Arena, res *exec.Result) map[string]*tensor.Tensor
 	return res.Outputs
 }
 
-// okNoRelease never recycles the buffer, so aliasing is harmless: clean.
+// okNoRelease never ends the arena's lifetime — the caller owns it and
+// the aliasing — so there is nothing to flag: clean.
 func okNoRelease(a *exec.Arena, res *exec.Result) map[string]*tensor.Tensor {
 	return res.Outputs
 }
@@ -67,7 +60,6 @@ func okNilStore(h *holder, a *exec.Arena) {
 var (
 	_ = leakReturn
 	_ = leakStore
-	_ = leakPooled
 	_ = okDetach
 	_ = okDeferredDetach
 	_ = okNoRelease

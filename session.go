@@ -145,13 +145,11 @@ func (s *Session) end() {
 }
 
 // Close shuts the session down gracefully: new requests (including
-// coalesced joins) are refused with ErrClosed immediately, requests
-// already admitted drain to completion bounded by ctx, and once drained
-// the process-global pooled arena buffers are released to the garbage
-// collector (other sessions simply re-allocate on their next request).
-// If ctx ends first, Close returns ctx's error with the still-in-flight
-// count — the session stays closed to new work and the stragglers keep
-// running to completion under their own contexts. Idempotent and safe
+// coalesced joins) are refused with ErrClosed immediately, and requests
+// already admitted drain to completion bounded by ctx. If ctx ends
+// first, Close returns ctx's error with the still-in-flight count — the
+// session stays closed to new work and the stragglers keep running to
+// completion under their own contexts. Idempotent and safe
 // for concurrent use; later Closes wait for the same drain.
 func (s *Session) Close(ctx context.Context) error {
 	s.mu.Lock()
@@ -175,7 +173,6 @@ func (s *Session) Close(ctx context.Context) error {
 			return fmt.Errorf("sod2: close: %d request(s) still in flight: %w", active, ctx.Err())
 		}
 	}
-	exec.DrainArenaPools()
 	return nil
 }
 
@@ -330,7 +327,7 @@ func (s *Session) serveAdmitted(ctx context.Context, sample Sample) (map[string]
 			// breaker closes — serve on the dynamic fallback tier.
 			gopts.ForceDynamic = true
 		}
-		out, rep, err := s.c.inferSample(sample, s.dev, gopts)
+		out, rep, err := s.c.inferOn(sample.Inputs, s.dev, gopts)
 		if err == nil {
 			s.brk.OnSuccess()
 			return out, rep, nil
@@ -440,7 +437,7 @@ func (s *Session) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 // member — and the members then execute sequentially against the
 // shared verified plan. Sequential member execution is what keeps the
 // single reservation honest: at most one member's arena is live at a
-// time (the pooled backing buffer is reused member to member), so the
+// time (each member's arena is released before the next starts), so the
 // admission ledger's accounting of the bucket equals its true peak.
 // Admission cost, ledger traffic, and plan/region verification all
 // amortize across the bucket's clients; wall-clock parallelism comes
@@ -531,9 +528,9 @@ func (s *Session) Stats() SessionStats {
 		Retries:       s.retries.Load(),
 		Buckets:       s.buckets.Load(),
 		BucketMembers: s.bucketMembers.Load(),
-		Health:    bs.State,
-		Breaker:   bs,
-		Admission: s.adm.Stats(),
-		Cache:     s.c.CacheStats(),
+		Health:        bs.State,
+		Breaker:       bs,
+		Admission:     s.adm.Stats(),
+		Cache:         s.c.CacheStats(),
 	}
 }

@@ -346,43 +346,28 @@ func (c *Compiled) InferOn(inputs map[string]*Tensor, dev Device) (map[string]*T
 	return c.inferOn(inputs, dev, GuardOptions{})
 }
 
+// inferOn is the shared guarded-inference path: one guarded execution,
+// whose own trace the engine prices into the Report — the graph and
+// order that actually ran, on whatever tier it completed.
 func (c *Compiled) inferOn(inputs map[string]*Tensor, dev Device, gopts GuardOptions) (map[string]*Tensor, Report, error) {
-	return c.inferSample(workload.Sample{Inputs: inputs}, dev, gopts)
-}
-
-// inferSample is the shared guarded-inference path. A sample with a
-// non-zero ID additionally engages the engine's trace memo (the cost
-// model's per-(sample, policy) execution cache).
-func (c *Compiled) inferSample(s Sample, dev Device, gopts GuardOptions) (map[string]*Tensor, Report, error) {
-	res, gr, err := c.inner.GuardedRun(s.Inputs, gopts)
+	res, gr, err := c.inner.GuardedRun(inputs, gopts)
 	if err != nil {
 		return nil, Report{FallbackTier: gr.Tier, Degradations: gr.Degradations}, err
 	}
-	eng := c.eng
-	if gr.Wavefronts > 0 {
-		// The guarded run executed wavefront-parallel; model the latency
-		// the same way (per-wave makespan instead of sequential trace
-		// cost). The engine is stateless, so a per-call copy is cheap.
-		par := eng.Opts
-		par.ParallelWorkers = gr.ParallelWorkers
-		eng = frameworks.NewSoD2(par)
+	g := c.inner.Graph
+	if gr.SpecFallback {
+		g = c.inner.OrigGraph
 	}
-	rep, err := eng.Run(c.inner, s, dev)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if gr.Tier > rep.FallbackTier {
-		rep.FallbackTier = gr.Tier
-	}
+	rep := c.eng.Price(c.inner, g, res.Trace, dev, gr.ParallelWorkers)
+	rep.FallbackTier = gr.Tier
+	rep.Degradations = gr.Degradations
 	rep.PlanCacheHit = gr.PlanCacheHit
 	rep.RegionCacheHit = gr.RegionCacheHit
 	rep.Wavefronts = gr.Wavefronts
 	rep.ParallelWorkers = gr.ParallelWorkers
-	rep.Degradations = append(gr.Degradations, rep.Degradations...)
+	rep.Specialized = gr.Specialized
+	rep.SpecFallback = gr.SpecFallback
 	if gr.ReplanMS > 0 {
-		if rep.Phases == nil {
-			rep.Phases = map[string]float64{}
-		}
 		rep.Phases["replan"] = gr.ReplanMS
 		rep.LatencyMS += gr.ReplanMS
 	}
